@@ -22,20 +22,24 @@ test:
 	$(GO) test ./...
 
 # Race-detector pass over the packages that spawn goroutines: the worker
-# pool, the cooperative scheduler, the parallel session runner, and the
-# parallel experiment grids.
+# pool, the cooperative scheduler (whose race build also samples the
+# goroutine-binding cross-check), the parallel session runner, the parallel
+# experiment grids, the crosscheck oracles, the campaign store, the fleet,
+# and the surwsync frontend. ci.sh runs this target; the list lives only
+# here.
 race:
-	$(GO) test -race -short ./internal/workpool ./internal/sched ./internal/runner ./internal/experiments ./internal/campaign ./internal/remote
+	$(GO) test -race -short ./internal/workpool ./internal/sched ./internal/runner ./internal/experiments ./internal/crosscheck ./internal/campaign ./internal/remote ./surwsync
 
-# Benchmarks. The throughput-critical pair (pooled scheduling and parallel
-# sessions) is additionally parsed into BENCH_obs.json so regressions can be
+# Benchmarks. Every result (the throughput-critical pooled scheduling,
+# parallel sessions, and surwsync worker pool among them) is parsed into
+# the machine-stamped BENCH_obs.json so regressions can be
 # gated on and reports can embed machine-readable numbers; every run also
 # appends a timestamped record to the BENCH_history.jsonl trajectory
 # (BENCH_obs.json stays the latest snapshot). `surwobs -bench-compare
 # old.json new.json` gates schedules/s between any two snapshots.
 bench:
 	$(GO) test -bench=. -benchmem -run=^$$ . | tee BENCH_obs.txt
-	$(GO) run ./cmd/surwobs -bench2json -in BENCH_obs.txt -out BENCH_obs.json \
+	$(GO) run -buildvcs=true ./cmd/surwobs -bench2json -in BENCH_obs.txt -out BENCH_obs.json \
 		-bench-history BENCH_history.jsonl \
 		-gate 'BenchmarkPooledSchedule/pooled.allocs/op<=11'
 

@@ -10,6 +10,7 @@
 package surw
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"runtime"
@@ -236,6 +237,32 @@ func BenchmarkParallelSessions(b *testing.B) {
 			b.ReportMetric(float64(ms1.Mallocs-ms0.Mallocs)/float64(schedules), "allocs/schedule")
 		})
 	}
+}
+
+// BenchmarkSurwsync measures real Go code under the scheduler: the ported
+// worker pool (WP/pool_2w2j) reaches the engine only through the surwsync
+// goroutine-binding frontend, so every synchronization op resolves its
+// virtual thread through sched.CurrentThread. Each iteration is one RW
+// session of 100 schedules through runner.RunSession, the unit a campaign
+// worker executes.
+func BenchmarkSurwsync(b *testing.B) {
+	tgt, ok := sctbench.ByName("WP/pool_2w2j")
+	if !ok {
+		b.Fatal("missing target")
+	}
+	var ms0, ms1 runtime.MemStats
+	runtime.ReadMemStats(&ms0)
+	schedules := 0
+	for i := 0; i < b.N; i++ {
+		s, err := runner.RunSession(context.Background(), tgt, "RW", runner.Config{Limit: 100, Seed: 42}, i)
+		if err != nil {
+			b.Fatal(err)
+		}
+		schedules += s.Schedules
+	}
+	runtime.ReadMemStats(&ms1)
+	b.ReportMetric(float64(schedules)/b.Elapsed().Seconds(), "schedules/s")
+	b.ReportMetric(float64(ms1.Mallocs-ms0.Mallocs)/float64(schedules), "allocs/schedule")
 }
 
 // BenchmarkPooledSchedule quantifies the allocation diet directly: one

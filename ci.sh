@@ -8,6 +8,11 @@ set -eux
 
 go vet ./...
 go build ./...
+# Cross-architecture checks for the goroutine-key stubs (DESIGN §14): vet
+# the arm64 assembly stub (asmdecl) and require the stack-parse fallback to
+# build on an architecture without a stub.
+GOARCH=arm64 go vet ./internal/sched ./surwsync
+GOARCH=riscv64 go build ./...
 # (no pipe: a pipeline would mask go test's exit status under plain sh)
 go test -cover ./... > /tmp/surw-cover.txt 2>&1 || { cat /tmp/surw-cover.txt; exit 1; }
 cat /tmp/surw-cover.txt
@@ -26,7 +31,8 @@ awk '
   END { exit bad }
 ' /tmp/surw-cover.txt
 
-go test -race -short ./internal/workpool ./internal/sched ./internal/runner ./internal/experiments ./internal/crosscheck ./internal/campaign ./internal/remote ./surwsync
+# Race pass: the package list lives in the Makefile's race target only.
+make race
 
 # Observability overhead gate: with tracing disabled the pooled scheduler
 # must stay at its allocation floor — the Tracer hook is a nil-check, not a
@@ -57,6 +63,14 @@ for attempt in 1 2 3; do
     go test -bench='^BenchmarkParallelSessions$/^workers_1$' -benchmem -benchtime=20x -run='^$' . > /tmp/surw-bench-par.txt 2>&1 || { cat /tmp/surw-bench-par.txt; exit 1; }
 done
 test "$sched_gate_ok" -eq 1 || go run ./cmd/surwobs -in /tmp/surw-bench-par.txt -gate 'BenchmarkParallelSessions/workers_1.schedules/s>=27595'
+
+# Allocation gate for real Go code under surwsync: the ported worker pool's
+# allocs/schedule with the g-keyed goroutine binding and the inline
+# ShimCache slot (67.3 measured; deterministic at a fixed -benchtime, so one
+# sample gates it). A return of the per-op stack parse or of the per-
+# primitive cache map lands near 81-121 and fails.
+go test -bench='^BenchmarkSurwsync$' -benchmem -benchtime=20x -run='^$' . > /tmp/surw-bench-surwsync.txt 2>&1 || { cat /tmp/surw-bench-surwsync.txt; exit 1; }
+go run ./cmd/surwobs -in /tmp/surw-bench-surwsync.txt -gate 'BenchmarkSurwsync.allocs/schedule<=69'
 test -s BENCH_obs.json
 go run ./cmd/surwobs -bench2json -in /tmp/surw-bench-par.txt -out /tmp/surw-bench-par.json
 

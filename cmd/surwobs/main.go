@@ -26,14 +26,17 @@
 // exists; with -out it also renders the spans as Chrome trace_event JSON
 // (one Perfetto track per worker) for visual inspection.
 //
-// -bench-history appends the parsed results as one timestamped JSONL
-// record, growing the benchmark trajectory `make bench` maintains beside
-// the BENCH_obs.json snapshot. -bench-compare OLD NEW reads two such
-// snapshots and exits non-zero when any shared benchmark's schedules/s
-// dropped by more than -tolerance (default 10%) — the ci.sh throughput
-// gate. -atlas validates an exploration-atlas export (surwbench -atlas),
-// prints each cell's cartography totals and uniformity verdict (ok /
-// DRIFT / n/a), and with -out renders the full SVG atlas document.
+// -bench2json stamps the snapshot with the machine it ran on (GOMAXPROCS,
+// CPU count and model, Go version, and the commit when the build recorded
+// one: `go run -buildvcs=true`). -bench-history appends the parsed results
+// as one timestamped, machine-stamped JSONL record, growing the benchmark
+// trajectory `make bench` maintains beside the BENCH_obs.json snapshot.
+// -bench-compare OLD NEW reads two such snapshots and exits non-zero when
+// any shared benchmark's schedules/s dropped by more than -tolerance
+// (default 10%) — the ci.sh throughput gate. -atlas validates an
+// exploration-atlas export (surwbench -atlas), prints each cell's
+// cartography totals and uniformity verdict (ok / DRIFT / n/a), and with
+// -out renders the full SVG atlas document.
 package main
 
 import (
@@ -217,6 +220,7 @@ func main() {
 			}
 			fmt.Printf("surwobs: gate ok: %s\n", g)
 		}
+		machine := obs.MachineStamp()
 		if *bench2json {
 			w := io.Writer(os.Stdout)
 			if *out != "" {
@@ -227,12 +231,12 @@ func main() {
 				defer f.Close()
 				w = f
 			}
-			if err := obs.WriteJSON(w, results); err != nil {
+			if err := obs.WriteJSON(w, obs.BenchSnapshot{Machine: machine, Results: results}); err != nil {
 				fatal(err)
 			}
 		}
 		if *benchHist != "" {
-			rec := obs.BenchRecord{Time: time.Now().UTC().Format(time.RFC3339), Results: results}
+			rec := obs.BenchRecord{Time: time.Now().UTC().Format(time.RFC3339), Machine: &machine, Results: results}
 			if err := obs.AppendBenchRecord(*benchHist, rec); err != nil {
 				fatal(err)
 			}

@@ -8,21 +8,92 @@ package obs
 // the committed baseline.
 
 import (
+	"bufio"
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"os"
+	"runtime"
+	"runtime/debug"
+	"strings"
 )
 
-// ReadBenchJSON loads a parsed benchmark result file as written by
-// `surwobs -bench2json` (the BENCH_obs.json shape: a JSON array of
-// BenchResult).
+// Machine identifies where and from what a benchmark snapshot was
+// measured, so a number is never read without its machine.
+type Machine struct {
+	GOMAXPROCS int    `json:"gomaxprocs"`
+	NumCPU     int    `json:"nproc"`
+	CPUModel   string `json:"cpu_model"`
+	GoVersion  string `json:"go_version"`
+	// Commit and Dirty come from the build's VCS stamp ("unknown" when
+	// the toolchain recorded none; `go run -buildvcs=true` records it).
+	Commit string `json:"commit"`
+	Dirty  string `json:"dirty"`
+}
+
+// MachineStamp describes the running process's machine and build.
+func MachineStamp() Machine {
+	m := Machine{
+		GOMAXPROCS: runtime.GOMAXPROCS(0),
+		NumCPU:     runtime.NumCPU(),
+		CPUModel:   cpuModel(),
+		GoVersion:  runtime.Version(),
+		Commit:     "unknown",
+		Dirty:      "unknown",
+	}
+	if bi, ok := debug.ReadBuildInfo(); ok {
+		for _, s := range bi.Settings {
+			switch s.Key {
+			case "vcs.revision":
+				m.Commit = s.Value
+			case "vcs.modified":
+				m.Dirty = s.Value
+			}
+		}
+	}
+	return m
+}
+
+// cpuModel reads the first "model name" of /proc/cpuinfo.
+func cpuModel() string {
+	f, err := os.Open("/proc/cpuinfo")
+	if err != nil {
+		return "unknown"
+	}
+	defer f.Close()
+	sc := bufio.NewScanner(f)
+	for sc.Scan() {
+		if k, v, ok := strings.Cut(sc.Text(), ":"); ok && strings.TrimSpace(k) == "model name" {
+			return strings.TrimSpace(v)
+		}
+	}
+	return "unknown"
+}
+
+// BenchSnapshot is the BENCH_obs.json shape written by `surwobs
+// -bench2json`: the parsed results and the machine they ran on.
+type BenchSnapshot struct {
+	Machine Machine       `json:"machine"`
+	Results []BenchResult `json:"results"`
+}
+
+// ReadBenchJSON loads the results of a parsed benchmark file: a
+// BenchSnapshot, or a bare JSON array of BenchResult as written before
+// snapshots carried their machine.
 func ReadBenchJSON(path string) ([]BenchResult, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
 	var results []BenchResult
-	if err := json.Unmarshal(data, &results); err != nil {
+	if bytes.HasPrefix(bytes.TrimSpace(data), []byte("[")) {
+		err = json.Unmarshal(data, &results)
+	} else {
+		var snap BenchSnapshot
+		err = json.Unmarshal(data, &snap)
+		results = snap.Results
+	}
+	if err != nil {
 		return nil, fmt.Errorf("obs: parse %s: %w", path, err)
 	}
 	if len(results) == 0 {
@@ -32,10 +103,11 @@ func ReadBenchJSON(path string) ([]BenchResult, error) {
 }
 
 // BenchRecord is one BENCH_history.jsonl entry: the results of a single
-// `make bench` run plus its timestamp.
+// `make bench` run plus its timestamp and machine.
 type BenchRecord struct {
 	// Time is the run's RFC 3339 UTC timestamp.
 	Time    string        `json:"time"`
+	Machine *Machine      `json:"machine,omitempty"`
 	Results []BenchResult `json:"results"`
 }
 

@@ -32,6 +32,28 @@ func TestReadBenchJSONRoundTrip(t *testing.T) {
 	if len(got) != 2 || got[0].Metrics["schedules/s"] != 3800 {
 		t.Fatalf("round trip lost data: %+v", got)
 	}
+
+	// The current shape: a snapshot stamped with its machine.
+	snapPath := filepath.Join(t.TempDir(), "snap.json")
+	f, err = os.Create(snapPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := MachineStamp()
+	if err := WriteJSON(f, BenchSnapshot{Machine: m, Results: benchSet(4100)}); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+	got, err = ReadBenchJSON(snapPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 2 || got[0].Metrics["schedules/s"] != 4100 {
+		t.Fatalf("snapshot round trip lost data: %+v", got)
+	}
+	if m.GOMAXPROCS < 1 || m.NumCPU < 1 || m.GoVersion == "" || m.CPUModel == "" || m.Commit == "" {
+		t.Fatalf("incomplete machine stamp: %+v", m)
+	}
 	if _, err := ReadBenchJSON(filepath.Join(t.TempDir(), "missing.json")); err == nil {
 		t.Fatal("missing file read without error")
 	}

@@ -5,10 +5,15 @@ package sched
 // code is running on" without plumbing a *Thread through every call.
 //
 // Every virtual thread's body runs on a dedicated coroutine goroutine (see
-// Thread.workerSeq), so the goroutine ID is a faithful key for the duration
-// of one schedule's body. The shim binds at body start and unbinds at body
-// end (both inside the body wrapper, so kills and pool closure — which
-// unwind the body via panic — still run the deferred unbind).
+// Thread.workerSeq), so the goroutine's identity is a faithful key for the
+// duration of one schedule's body. The key is the address of the
+// goroutine's runtime g on amd64 and arm64 (goroutineKey), and the
+// stack-parsed goroutine ID elsewhere. The shim binds at body start and
+// unbinds at body end (both inside the body wrapper, so kills and pool
+// closure — which unwind the body via panic — still run the deferred
+// unbind). That pairing is load-bearing: the runtime reuses a g once its
+// goroutine exits, so a binding that outlived its goroutine would resolve
+// on an unrelated one. Race builds cross-check it (binding_race.go).
 //
 // Cost discipline: nothing in the scheduling engine touches the registry.
 // Binding is opt-in per thread (only shimmed programs call BindGoroutine),
@@ -23,27 +28,37 @@ import (
 
 // bindShards keeps goroutine→thread lookups uncontended when parallel
 // sessions bind concurrently. 64 shards ≫ typical worker counts.
-const bindShards = 64
+const (
+	bindShardBits = 6
+	bindShards    = 1 << bindShardBits
+)
 
 type bindShard struct {
 	mu sync.Mutex
-	m  map[int64]*Thread
+	m  map[uintptr]binding
 }
 
 var bindReg struct {
 	// active counts live bindings; zero lets CurrentThread skip the
-	// goroutine-ID parse entirely.
+	// goroutine lookup entirely.
 	active atomic.Int64
 	shards [bindShards]bindShard
 }
 
-// goid returns the current goroutine's ID, parsed from the runtime.Stack
-// header ("goroutine N [running]: ..."). This is the only portable way to
-// name a goroutine; it works inside iter.Pull coroutine goroutines, which
-// are real goroutines with ordinary IDs. Cost is one shallow stack header
-// dump (~hundreds of ns) — paid only on binding-layer paths, never by the
-// scheduling engine.
-func goid() int64 {
+// shardOf spreads goroutine keys over the shards. g addresses share their
+// low bits (gs come from one size class), so the key is mixed by a
+// Fibonacci multiply and the top bits pick the shard.
+func shardOf(key uintptr) *bindShard {
+	return &bindReg.shards[(uint64(key)*0x9E3779B97F4A7C15)>>(64-bindShardBits)]
+}
+
+// goidFromStack returns the current goroutine's ID, parsed from the
+// runtime.Stack header ("goroutine N [running]: ..."). It works inside
+// iter.Pull coroutine goroutines, which are real goroutines with ordinary
+// IDs. It costs a shallow stack dump and one allocation (the buffer
+// escapes into runtime.Stack), so it serves only as the goroutine key on
+// architectures without a getg stub and as the race-build cross-check.
+func goidFromStack() int64 {
 	var buf [64]byte
 	n := runtime.Stack(buf[:], false)
 	// Skip "goroutine " (10 bytes) and read digits.
@@ -60,29 +75,29 @@ func goid() int64 {
 // BindGoroutine registers t as the virtual thread of the calling goroutine.
 // It must be called on the goroutine that runs t's body (the frontend calls
 // it first thing in the body wrapper) and paired with UnbindGoroutine when
-// the body returns or unwinds.
+// the body returns or unwinds, before the goroutine exits.
 func BindGoroutine(t *Thread) {
-	id := goid()
-	sh := &bindReg.shards[id&(bindShards-1)]
+	key := goroutineKey()
+	sh := shardOf(key)
 	sh.mu.Lock()
 	if sh.m == nil {
-		sh.m = make(map[int64]*Thread, 4)
+		sh.m = make(map[uintptr]binding, 4)
 	}
-	if _, dup := sh.m[id]; !dup {
+	if _, dup := sh.m[key]; !dup {
 		bindReg.active.Add(1)
 	}
-	sh.m[id] = t
+	sh.m[key] = newBinding(t)
 	sh.mu.Unlock()
 }
 
 // UnbindGoroutine removes the calling goroutine's binding. Unbinding a
 // goroutine that was never bound is a no-op.
 func UnbindGoroutine() {
-	id := goid()
-	sh := &bindReg.shards[id&(bindShards-1)]
+	key := goroutineKey()
+	sh := shardOf(key)
 	sh.mu.Lock()
-	if _, ok := sh.m[id]; ok {
-		delete(sh.m, id)
+	if _, ok := sh.m[key]; ok {
+		delete(sh.m, key)
 		bindReg.active.Add(-1)
 	}
 	sh.mu.Unlock()
@@ -97,12 +112,15 @@ func CurrentThread() (*Thread, bool) {
 	if bindReg.active.Load() == 0 {
 		return nil, false
 	}
-	id := goid()
-	sh := &bindReg.shards[id&(bindShards-1)]
+	key := goroutineKey()
+	sh := shardOf(key)
 	sh.mu.Lock()
-	t := sh.m[id]
+	b, ok := sh.m[key]
 	sh.mu.Unlock()
-	return t, t != nil
+	if ok {
+		b.check()
+	}
+	return b.t, ok
 }
 
 // Bindings returns the number of live goroutine bindings. It exists for
@@ -116,20 +134,25 @@ func Bindings() int { return int(bindReg.active.Load()) }
 // schedule hit the cache; the next schedule (the Execution's reset bumps
 // its generation) misses and rebuilds.
 //
-// The map is keyed by *Execution, not by (execution, generation): each
+// Entries are keyed by *Execution, not by (execution, generation): each
 // execution has exactly one live generation at a time, so a stale entry is
 // overwritten in place and the cache never grows beyond the number of
 // executions that ever touched the primitive (bounded by the worker count
-// of a parallel runner). Entries are only read through the owning
-// execution's current thread, whose goroutine never runs concurrently with
-// that execution's reset — the generation read is race-free. The cache's
-// own mutex only arbitrates between threads of *different* executions
-// (parallel sessions sharing a package-level primitive).
+// of a parallel runner). The first execution to touch the primitive takes
+// an inline slot; only a second one (parallel sessions sharing a
+// package-level primitive) allocates the overflow map, so a primitive
+// created inside a schedule costs no allocation of its own. Entries are
+// only read through the owning execution's current thread, whose
+// goroutine never runs concurrently with that execution's reset — the
+// generation read is race-free. The cache's own mutex only arbitrates
+// between threads of *different* executions.
 //
 // The zero ShimCache is ready to use.
 type ShimCache struct {
-	mu sync.Mutex
-	m  map[*Execution]shimEntry
+	mu    sync.Mutex
+	ex    *Execution // owner of the inline slot; nil until first use
+	first shimEntry
+	more  map[*Execution]shimEntry // every other execution
 }
 
 type shimEntry struct {
@@ -145,13 +168,20 @@ func (c *ShimCache) Resolve(t *Thread, build func(*Thread) any) any {
 	ex, gen := t.ex, t.ex.gen
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if e, ok := c.m[ex]; ok && e.gen == gen {
+	if c.ex == ex && c.first.gen == gen {
+		return c.first.obj
+	}
+	if c.ex == nil || c.ex == ex {
+		c.ex, c.first = ex, shimEntry{gen: gen, obj: build(t)}
+		return c.first.obj
+	}
+	if e, ok := c.more[ex]; ok && e.gen == gen {
 		return e.obj
 	}
-	if c.m == nil {
-		c.m = make(map[*Execution]shimEntry, 1)
+	if c.more == nil {
+		c.more = make(map[*Execution]shimEntry, 1)
 	}
 	obj := build(t)
-	c.m[ex] = shimEntry{gen: gen, obj: obj}
+	c.more[ex] = shimEntry{gen: gen, obj: obj}
 	return obj
 }
