@@ -8,7 +8,7 @@ FUZZTIME ?= 30s
 VERSION ?= $(shell git describe --tags --always --dirty 2>/dev/null || echo dev)
 LDFLAGS = -ldflags "-X surw/internal/buildinfo.Version=$(VERSION)"
 
-.PHONY: all build vet test race bench fuzz-smoke crosscheck ci
+.PHONY: all build vet fmt test race bench fuzz-smoke crosscheck ci
 
 all: ci
 
@@ -18,6 +18,12 @@ build:
 vet:
 	$(GO) vet ./...
 
+# Formatting gate: every Go file tracked by git must be gofmt-clean.
+# ci.sh runs this target; the check lives only here.
+fmt:
+	@unformatted=$$(gofmt -l $$(git ls-files '*.go')); \
+	if [ -n "$$unformatted" ]; then echo "gofmt -l reports:"; echo "$$unformatted"; exit 1; fi
+
 test:
 	$(GO) test ./...
 
@@ -25,10 +31,10 @@ test:
 # pool, the cooperative scheduler (whose race build also samples the
 # goroutine-binding cross-check), the parallel session runner, the parallel
 # experiment grids, the crosscheck oracles, the campaign store, the fleet,
-# and the surwsync frontend. ci.sh runs this target; the list lives only
-# here.
+# the shared object-name tables, and the surwsync frontend. ci.sh runs
+# this target; the list lives only here.
 race:
-	$(GO) test -race -short ./internal/workpool ./internal/sched ./internal/runner ./internal/experiments ./internal/crosscheck ./internal/campaign ./internal/remote ./surwsync
+	$(GO) test -race -short ./internal/workpool ./internal/sched ./internal/runner ./internal/experiments ./internal/crosscheck ./internal/campaign ./internal/remote ./internal/objname ./surwsync
 
 # Benchmarks. Every result (the throughput-critical pooled scheduling,
 # parallel sessions, and surwsync worker pool among them) is parsed into
@@ -56,4 +62,4 @@ fuzz-smoke:
 crosscheck:
 	$(GO) run ./cmd/surwrun -crosscheck
 
-ci: vet build test race
+ci: fmt vet build test race

@@ -250,7 +250,14 @@ func BenchmarkSurwsync(b *testing.B) {
 	if !ok {
 		b.Fatal("missing target")
 	}
+	benchRWSessions(b, tgt)
+}
+
+// benchRWSessions runs one RW session of 100 schedules per iteration
+// through runner.RunSession and reports schedules/s and allocs/schedule.
+func benchRWSessions(b *testing.B, tgt runner.Target) {
 	var ms0, ms1 runtime.MemStats
+	b.ResetTimer()
 	runtime.ReadMemStats(&ms0)
 	schedules := 0
 	for i := 0; i < b.N; i++ {
@@ -263,6 +270,15 @@ func BenchmarkSurwsync(b *testing.B) {
 	runtime.ReadMemStats(&ms1)
 	b.ReportMetric(float64(schedules)/b.Elapsed().Seconds(), "schedules/s")
 	b.ReportMetric(float64(ms1.Mallocs-ms0.Mallocs)/float64(schedules), "allocs/schedule")
+}
+
+// BenchmarkRaceBenchSession measures the long-trace engine path of Table 2:
+// each iteration is one RW session of 100 schedules on the blackscholes
+// RaceBench base through runner.RunSession. Every schedule re-creates the
+// base's ~218 named objects, so allocs/schedule gates object creation on a
+// pooled execution (object-table replay, once-per-process names).
+func BenchmarkRaceBenchSession(b *testing.B) {
+	benchRWSessions(b, racebench.Suite()[0].Target())
 }
 
 // BenchmarkPooledSchedule quantifies the allocation diet directly: one

@@ -6,6 +6,8 @@
 # smoke of the two native fuzz targets.
 set -eux
 
+# Formatting gate: the file list and the check live in the Makefile.
+make fmt
 go vet ./...
 go build ./...
 # Cross-architecture checks for the goroutine-key stubs (DESIGN §14): vet
@@ -71,6 +73,15 @@ test "$sched_gate_ok" -eq 1 || go run ./cmd/surwobs -in /tmp/surw-bench-par.txt 
 # primitive cache map lands near 81-121 and fails.
 go test -bench='^BenchmarkSurwsync$' -benchmem -benchtime=20x -run='^$' . > /tmp/surw-bench-surwsync.txt 2>&1 || { cat /tmp/surw-bench-surwsync.txt; exit 1; }
 go run ./cmd/surwobs -in /tmp/surw-bench-surwsync.txt -gate 'BenchmarkSurwsync.allocs/schedule<=69'
+
+# Allocation gate for the long-trace RaceBench path: one RW session of 100
+# schedules on a base that re-creates ~218 named objects per schedule.
+# Object-table replay on the pooled execution and once-per-process object
+# names hold it at 15.8 (deterministic at a fixed -benchtime, so one sample
+# gates it); a return of per-schedule handle allocation or fmt.Sprintf
+# names lands near 200-450 and fails.
+go test -bench='^BenchmarkRaceBenchSession$' -benchmem -benchtime=20x -run='^$' . > /tmp/surw-bench-racebench.txt 2>&1 || { cat /tmp/surw-bench-racebench.txt; exit 1; }
+go run ./cmd/surwobs -in /tmp/surw-bench-racebench.txt -gate 'BenchmarkRaceBenchSession.allocs/schedule<=17'
 test -s BENCH_obs.json
 go run ./cmd/surwobs -bench2json -in /tmp/surw-bench-par.txt -out /tmp/surw-bench-par.json
 

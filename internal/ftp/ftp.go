@@ -18,6 +18,7 @@ import (
 	"strings"
 
 	"surw/internal/memfs"
+	"surw/internal/objname"
 	"surw/internal/profile"
 	"surw/internal/runner"
 	"surw/internal/sched"
@@ -130,6 +131,10 @@ func (c Config) script(client int, rng *rand.Rand) []command {
 	return cmds
 }
 
+// sockNames are the per-client socket buffers, formatted once per process
+// on first use: Prog's body runs every schedule.
+var sockNames = objname.New("sock", 16)
+
 // Prog returns the server+clients program for one schedule.
 func (c Config) Prog() func(*sched.Thread) {
 	cfg := c.normalized()
@@ -149,7 +154,7 @@ func (c Config) Prog() func(*sched.Thread) {
 		handles := make([]*sched.Handle, cfg.Clients)
 		for i := range handles {
 			script := scripts[i]
-			sockBuf := t.NewVar(fmt.Sprintf("sock%d", i), 0)
+			sockBuf := t.NewVar(sockNames.Name(i), 0)
 			// recvParse models the per-command socket read and parse work
 			// of the real server: events on session-local state only.
 			recvParse := func(w *sched.Thread) {

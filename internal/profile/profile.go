@@ -40,6 +40,9 @@ type Profile struct {
 	// interesting counts under any Δ predicate.
 	perThread map[countKey]int
 	runs      int
+	// shared caches sharedVars, computed once when Collect finalizes Objs:
+	// the selection heuristics consult it every schedule.
+	shared []ObjStat
 }
 
 type countKey struct {
@@ -178,6 +181,11 @@ func Collect(prog func(*sched.Thread), opts Options) (*Profile, error) {
 		p.Objs = append(p.Objs, *os)
 	}
 	sort.Slice(p.Objs, func(i, j int) bool { return p.Objs[i].Birth < p.Objs[j].Birth })
+	for _, o := range p.Objs {
+		if o.Kind == sched.ObjVar && o.Threads >= 2 {
+			p.shared = append(p.shared, o)
+		}
+	}
 	if allTruncated {
 		return p, errors.New("profile: every census run hit the step budget")
 	}
@@ -220,16 +228,8 @@ func LockAcquireOf(names ...string) func(sched.Event) bool {
 }
 
 // sharedVars returns the census vars touched by at least two threads,
-// sorted by creation rank.
-func (p *Profile) sharedVars() []ObjStat {
-	var out []ObjStat
-	for _, o := range p.Objs {
-		if o.Kind == sched.ObjVar && o.Threads >= 2 {
-			out = append(out, o)
-		}
-	}
-	return out
-}
+// sorted by creation rank. The slice is shared: callers must not modify it.
+func (p *Profile) sharedVars() []ObjStat { return p.shared }
 
 // SelectSingleVar implements the paper's SCTBench/ConVul instantiation:
 // Δ is every access to a single shared variable, drawn with probability

@@ -18,6 +18,7 @@ import (
 	"fmt"
 	"math/rand"
 
+	"surw/internal/objname"
 	"surw/internal/profile"
 	"surw/internal/runner"
 	"surw/internal/sched"
@@ -182,29 +183,39 @@ func (b *Base) Bugs() []string {
 	return out
 }
 
+// Object names, formatted once per process on first use (never in
+// Generate or Target, which are set-up cost): Prog runs every schedule.
+var (
+	stateNames  = objname.New("bugstate", NumBugs)
+	intentNames = objname.New("bugintent", NumBugs)
+	lockNames   = objname.New("lock", 4)
+	sharedNames = objname.New("g", 16)
+	localNames  = objname.New("local", 16)
+)
+
 // Prog returns the schedulable program.
 func (b *Base) Prog() func(*sched.Thread) {
 	return func(t *sched.Thread) {
 		state := make([]*sched.Var, len(b.bugs))
 		intent := make([]*sched.Var, len(b.bugs))
 		for j := range b.bugs {
-			state[j] = t.NewVar(fmt.Sprintf("bugstate%d", j), 0)
-			intent[j] = t.NewVar(fmt.Sprintf("bugintent%d", j), 0)
+			state[j] = t.NewVar(stateNames.Name(j), 0)
+			intent[j] = t.NewVar(intentNames.Name(j), 0)
 		}
 		locks := make([]*sched.Mutex, 4)
 		for i := range locks {
-			locks[i] = t.NewMutex(fmt.Sprintf("lock%d", i))
+			locks[i] = t.NewMutex(lockNames.Name(i))
 		}
 		g := make([]*sched.Var, b.Shared)
 		for i := range g {
-			g[i] = t.NewVar(fmt.Sprintf("g%d", i), 0)
+			g[i] = t.NewVar(sharedNames.Name(i), 0)
 		}
 		queue := t.NewVar("queue", 0) // task pattern work counter
 
 		handles := make([]*sched.Handle, b.Threads)
 		for ti := range handles {
 			ti := ti
-			local := t.NewVar(fmt.Sprintf("local%d", ti), 0)
+			local := t.NewVar(localNames.Name(ti), 0)
 			handles[ti] = t.Go(func(w *sched.Thread) {
 				for k := 0; k < b.Items; k++ {
 					if b.Pattern == "task" {

@@ -147,6 +147,11 @@ func Bindings() int { return int(bindReg.active.Load()) }
 // generation read is race-free. The cache's own mutex only arbitrates
 // between threads of *different* executions.
 //
+// Objects built through a ShimCache do not recycle their handles across
+// the schedules of a pooled Execution (see Pool): each schedule's backing
+// object is a distinct pointer, so a frontend can tell its objects apart
+// by identity as well as by state.
+//
 // The zero ShimCache is ready to use.
 type ShimCache struct {
 	mu    sync.Mutex
@@ -172,7 +177,7 @@ func (c *ShimCache) Resolve(t *Thread, build func(*Thread) any) any {
 		return c.first.obj
 	}
 	if c.ex == nil || c.ex == ex {
-		c.ex, c.first = ex, shimEntry{gen: gen, obj: build(t)}
+		c.ex, c.first = ex, shimEntry{gen: gen, obj: buildUnrecycled(t, build)}
 		return c.first.obj
 	}
 	if e, ok := c.more[ex]; ok && e.gen == gen {
@@ -181,7 +186,19 @@ func (c *ShimCache) Resolve(t *Thread, build func(*Thread) any) any {
 	if c.more == nil {
 		c.more = make(map[*Execution]shimEntry, 1)
 	}
-	obj := build(t)
+	obj := buildUnrecycled(t, build)
 	c.more[ex] = shimEntry{gen: gen, obj: obj}
+	return obj
+}
+
+// buildUnrecycled runs build and drops the recorded handles of the objects
+// it created, so the next schedule's constructors allocate fresh ones.
+func buildUnrecycled(t *Thread, build func(*Thread) any) any {
+	ex := t.ex
+	n := len(ex.objs)
+	obj := build(t)
+	for i := n; i < len(ex.objs); i++ {
+		ex.objs[i].handle = nil
+	}
 	return obj
 }

@@ -38,7 +38,16 @@ type Execution struct {
 	threads []*Thread
 	byPath  map[string]ThreadID
 	objs    []objState
-	objSeen map[string]int // name collision counter
+	objSeen map[string]int // name collision counter (pre-collision name -> uses)
+
+	// Object-table replay (addObj). A pooled execution usually re-creates
+	// the previous schedule's objects with the same arguments in the same
+	// order; while it does, slot n's stale name, hash and handle are still
+	// right and objSeen is neither consulted nor maintained. objReplaying
+	// is cleared at the first creation that differs from (or runs past)
+	// the previous schedule's objReplayN objects, after rebuilding objSeen.
+	objReplaying bool
+	objReplayN   int
 
 	// resume names the coroutine the trampoline (pump) transfers the baton
 	// to after the current one parks; nil parks the whole schedule phase —
@@ -178,6 +187,15 @@ type objState struct {
 	waiters []ThreadID // ObjCond: sleeping threads, FIFO
 
 	sem int // ObjSem: current count
+
+	// Creation record, kept across the schedules of a pooled Execution
+	// (see addObj): base is the name before collision suffixing (the
+	// explicit name, or autoPrefix#n); auto is the autoPrefix of an
+	// auto-named object ("" for an explicit name); handle is the last
+	// handle a New* constructor returned for this slot.
+	base   string
+	auto   string
+	handle any
 }
 
 const fnvOffset, fnvPrime = 14695981039346656037, 1099511628211
@@ -228,6 +246,8 @@ func (ex *Execution) reset(opts Options, alg Algorithm) {
 		ex.freeThreads = append(ex.freeThreads, t)
 	}
 	ex.threads = ex.threads[:0]
+	ex.objReplaying = true
+	ex.objReplayN = len(ex.objs)
 	ex.objs = ex.objs[:0]
 	ex.pending = ex.pending[:0]
 	ex.handles = ex.handles[:0]
@@ -235,8 +255,6 @@ func (ex *Execution) reset(opts Options, alg Algorithm) {
 		ex.byPath = make(map[string]ThreadID, 8)
 		ex.objSeen = make(map[string]int, 8)
 		ex.names = make(map[string]string, 16)
-	} else {
-		clear(ex.objSeen)
 	}
 	ex.byPathDirty = true
 	ex.steps = 0
@@ -736,37 +754,90 @@ func (ex *Execution) addThread(parent *Thread, body func(*Thread)) *Thread {
 // rootPathHash is fnv1a(fnvOffset, "0"), the root thread's path hash.
 var rootPathHash = fnv1a(fnvOffset, "0")
 
-func (ex *Execution) addObj(o objState, name, autoPrefix string) ObjID {
+// addObj appends an object of the given kind to the table and returns its
+// ID and slot, with every per-schedule field reset (the constructor then
+// sets its kind's initial state in place). name "" auto-names the object
+// autoPrefix#n, n its creation index; a name already taken this schedule
+// gets a ~k suffix.
+//
+// On a pooled Execution the slot is the previous schedule's slot n. While
+// every creation so far matched the previous schedule's slot for slot
+// (same explicit name, or auto-named with the same prefix), objSeen would
+// hold the same counts as it did then, so the stale final name and hash
+// are exactly what the lookup would recompute: replay reuses them and
+// skips objSeen and the hash. The first mismatch rebuilds objSeen from the
+// pre-collision names of slots 0..n-1 and continues on the lookup path.
+func (ex *Execution) addObj(kind ObjKind, name, autoPrefix string) (ObjID, *objState) {
 	if p := ex.primingT; p != nil {
 		// A prologue that creates an object pins its thread to real priming:
 		// deferring it would shift object-creation order and with it the
 		// object IDs every later name and trace depends on.
 		p.primePoison = true
 	}
+	n := len(ex.objs)
+	if n < cap(ex.objs) {
+		ex.objs = ex.objs[:n+1]
+	} else {
+		ex.objs = append(ex.objs, objState{})
+	}
+	o := &ex.objs[n]
+	if !ex.objReplaying || n >= ex.objReplayN || !o.replays(name, autoPrefix) {
+		ex.nameObj(o, n, name, autoPrefix)
+	}
+	o.kind = kind
+	o.waitMask = 0
+	o.lastWriteH = 0
+	o.readAcc = 0
+	o.val = 0
+	o.ref = nil
+	o.owner = 0
+	o.readers = 0
+	o.condMu = 0
+	o.waiters = o.waiters[:0] // recycle the stale waiter buffer
+	o.sem = 0
+	return ObjID(n + 1), o
+}
+
+// replays reports whether creating an object with these arguments at o's
+// slot yields o's stale pre-collision name: the same explicit name, or an
+// auto name with the same prefix (the creation index is the slot's).
+func (o *objState) replays(name, autoPrefix string) bool {
+	if name != "" {
+		return o.base == name
+	}
+	return autoPrefix != "" && o.auto == autoPrefix
+}
+
+// nameObj computes slot n's name and hash through objSeen, leaving replay
+// mode first if it is still on.
+func (ex *Execution) nameObj(o *objState, n int, name, autoPrefix string) {
+	if ex.objReplaying {
+		ex.objReplaying = false
+		clear(ex.objSeen)
+		for i := range ex.objs[:n] {
+			ex.objSeen[ex.objs[i].base]++
+		}
+	}
+	o.auto = ""
 	if name == "" {
 		buf := append(ex.nameBuf[:0], autoPrefix...)
 		buf = append(buf, '#')
-		ex.nameBuf = strconv.AppendInt(buf, int64(len(ex.objs)), 10)
+		ex.nameBuf = strconv.AppendInt(buf, int64(n), 10)
 		name = ex.intern()
+		o.auto = autoPrefix
 	}
-	if n := ex.objSeen[name]; n > 0 {
-		ex.objSeen[name] = n + 1
+	o.base = name
+	if k := ex.objSeen[name]; k > 0 {
+		ex.objSeen[name] = k + 1
 		buf := append(ex.nameBuf[:0], name...)
 		buf = append(buf, '~')
-		ex.nameBuf = strconv.AppendInt(buf, int64(n), 10)
+		ex.nameBuf = strconv.AppendInt(buf, int64(k), 10)
 		name = ex.intern()
 	} else {
 		ex.objSeen[name] = 1
 	}
 	o.name = name
 	o.hash = fnv1a(fnvOffset, name)
-	if n := len(ex.objs); n < cap(ex.objs) {
-		// Recycle the stale element's waiter buffer (the previous schedule
-		// of a pooled Execution created the same objects in the same order).
-		o.waiters = ex.objs[: n+1 : n+1][n].waiters[:0]
-	}
-	ex.objs = append(ex.objs, o)
-	return ObjID(len(ex.objs))
 }
 
 func (ex *Execution) obj(id ObjID) *objState { return &ex.objs[id-1] }

@@ -12,8 +12,14 @@ type Var struct {
 // schedules ("" auto-names it from creation order); init is its initial
 // value. Creating an object is not itself an event.
 func (t *Thread) NewVar(name string, init int64) *Var {
-	id := t.ex.addObj(objState{kind: ObjVar, val: init}, name, "var")
-	return &Var{id: id, ex: t.ex}
+	id, o := t.ex.addObj(ObjVar, name, "var")
+	o.val = init
+	if v, ok := o.handle.(*Var); ok {
+		return v // see Pool: a recycled handle names the same slot
+	}
+	v := &Var{id: id, ex: t.ex}
+	o.handle = v
+	return v
 }
 
 // ID returns the variable's object ID.
@@ -87,8 +93,14 @@ type Ref[E any] struct {
 
 // NewRef creates a shared reference cell named name holding init.
 func NewRef[E any](t *Thread, name string, init E) *Ref[E] {
-	id := t.ex.addObj(objState{kind: ObjVar, ref: init}, name, "ref")
-	return &Ref[E]{id: id, ex: t.ex}
+	id, o := t.ex.addObj(ObjVar, name, "ref")
+	o.ref = init
+	if r, ok := o.handle.(*Ref[E]); ok {
+		return r
+	}
+	r := &Ref[E]{id: id, ex: t.ex}
+	o.handle = r
+	return r
 }
 
 // ID returns the reference's object ID.
@@ -129,8 +141,14 @@ type Mutex struct {
 
 // NewMutex creates a mutex.
 func (t *Thread) NewMutex(name string) *Mutex {
-	id := t.ex.addObj(objState{kind: ObjMutex, owner: -1}, name, "mutex")
-	return &Mutex{id: id, ex: t.ex}
+	id, o := t.ex.addObj(ObjMutex, name, "mutex")
+	o.owner = -1
+	if m, ok := o.handle.(*Mutex); ok {
+		return m
+	}
+	m := &Mutex{id: id, ex: t.ex}
+	o.handle = m
+	return m
 }
 
 // ID returns the mutex's object ID.
@@ -192,8 +210,14 @@ type RWMutex struct {
 
 // NewRWMutex creates a readers-writer lock.
 func (t *Thread) NewRWMutex(name string) *RWMutex {
-	id := t.ex.addObj(objState{kind: ObjMutex, owner: -1}, name, "rwmutex")
-	return &RWMutex{id: id, ex: t.ex}
+	id, o := t.ex.addObj(ObjMutex, name, "rwmutex")
+	o.owner = -1
+	if m, ok := o.handle.(*RWMutex); ok {
+		return m
+	}
+	m := &RWMutex{id: id, ex: t.ex}
+	o.handle = m
+	return m
 }
 
 // ID returns the lock's object ID.
@@ -281,8 +305,15 @@ type Cond struct {
 
 // NewCond creates a condition variable using mutex m.
 func (t *Thread) NewCond(name string, m *Mutex) *Cond {
-	id := t.ex.addObj(objState{kind: ObjCond, condMu: m.id, owner: -1}, name, "cond")
-	return &Cond{id: id, mu: m, ex: t.ex}
+	id, o := t.ex.addObj(ObjCond, name, "cond")
+	o.condMu = m.id
+	o.owner = -1
+	if c, ok := o.handle.(*Cond); ok && c.mu == m {
+		return c
+	}
+	c := &Cond{id: id, mu: m, ex: t.ex}
+	o.handle = c
+	return c
 }
 
 // ID returns the condition variable's object ID.
@@ -363,8 +394,15 @@ type Semaphore struct {
 
 // NewSemaphore creates a semaphore with the given initial count.
 func (t *Thread) NewSemaphore(name string, init int) *Semaphore {
-	id := t.ex.addObj(objState{kind: ObjSem, sem: init, owner: -1}, name, "sem")
-	return &Semaphore{id: id, ex: t.ex}
+	id, o := t.ex.addObj(ObjSem, name, "sem")
+	o.sem = init
+	o.owner = -1
+	if s, ok := o.handle.(*Semaphore); ok {
+		return s
+	}
+	s := &Semaphore{id: id, ex: t.ex}
+	o.handle = s
+	return s
 }
 
 // ID returns the semaphore's object ID.

@@ -8,6 +8,19 @@ package sched
 // later schedules allocate almost nothing on the spawn/create path, because
 // thread paths and object names are interned from the first schedule.
 //
+// Object-table replay: a pooled schedule usually creates the same objects
+// with the same names in the same order as the schedule before it. While
+// it does, object creation reuses the previous schedule's final name and
+// hash for the slot instead of re-deriving them through the collision map
+// (see addObj), and the New* constructors whose handle is just (slot ID,
+// Execution) — Var, Ref, Mutex, RWMutex, Semaphore, and Cond while bound
+// to the same mutex handle — hand back the handle they returned for the
+// slot last schedule. A recycled handle is the same value a fresh one would
+// be: handles are immutable, carry no state of their own, and name the
+// slot whose state creation just reset, so every operation through either
+// reaches the same object. Only pointer identity across schedules differs;
+// objects built through a ShimCache keep fresh pointers.
+//
 // Determinism: Pool.Run(prog, alg, opts) returns a Result bit-identical to
 // sched.Run(prog, alg, opts). Resetting re-seeds the persistent random
 // streams (yielding exactly the stream a fresh source would produce) and

@@ -1,8 +1,7 @@
 package sctbench
 
 import (
-	"fmt"
-
+	"surw/internal/objname"
 	"surw/internal/runner"
 	"surw/internal/sched"
 )
@@ -37,6 +36,13 @@ func StringBuffer() runner.Target {
 	}
 }
 
+// Object names, formatted once per process on first use: program bodies
+// run every schedule.
+var (
+	taskNames  = objname.New("task", 8)
+	stateNames = objname.New("state", 8)
+)
+
 // wsqWorld is the shared state of the work-stealing-queue variants: a
 // deque of `items` tasks plus a taken-counter per task. Consuming a task
 // twice is the bug in every variant.
@@ -51,7 +57,7 @@ func newWSQWorld(t *sched.Thread, items int) *wsqWorld {
 		tail: t.NewVar("tail", int64(items)), // tasks pre-pushed
 	}
 	for i := 0; i < items; i++ {
-		w.taken = append(w.taken, t.NewVar(fmt.Sprintf("task%d", i), 0))
+		w.taken = append(w.taken, t.NewVar(taskNames.Name(i), 0))
 	}
 	return w
 }
@@ -140,7 +146,7 @@ func IWSQWithState() runner.Target {
 			tail := t.NewVar("tail", items)
 			var state []*sched.Var
 			for i := 0; i < items; i++ {
-				state = append(state, t.NewVar(fmt.Sprintf("state%d", i), 1)) // 1 = ready
+				state = append(state, t.NewVar(stateNames.Name(i), 1)) // 1 = ready
 			}
 			run := func(w *sched.Thread, idx int64) {
 				if idx >= 0 && int(idx) < items {

@@ -1,8 +1,7 @@
 package sctbench
 
 import (
-	"fmt"
-
+	"surw/internal/objname"
 	"surw/internal/runner"
 	"surw/internal/sched"
 )
@@ -220,6 +219,13 @@ func RADBenchBug6() runner.Target {
 	}
 }
 
+// SafeStack's object names, formatted once per process on first use.
+var (
+	nextNames  = objname.New("next", 4)
+	ownedNames = objname.New("owned", 4)
+	localNames = objname.New("local", 4)
+)
+
 // SafeStack is Vyukov's lock-free stack, the suite's hardest bug: Pop reads
 // the head's next pointer non-atomically with its CAS, so an interleaved
 // Pop/Push cycle on another thread (an ABA) lets two threads pop the same
@@ -238,8 +244,8 @@ func SafeStack() runner.Target {
 				if i == n-1 {
 					nxt = -1
 				}
-				next = append(next, t.NewVar(fmt.Sprintf("next%d", i), nxt))
-				owned = append(owned, t.NewVar(fmt.Sprintf("owned%d", i), 0))
+				next = append(next, t.NewVar(nextNames.Name(i), nxt))
+				owned = append(owned, t.NewVar(ownedNames.Name(i), 0))
 			}
 			pop := func(w *sched.Thread) int64 {
 				for count.Load(w) > 1 {
@@ -267,7 +273,7 @@ func SafeStack() runner.Target {
 			}
 			workers := make([]*sched.Handle, 3)
 			for wi := range workers {
-				local := t.NewVar(fmt.Sprintf("local%d", wi), 0)
+				local := t.NewVar(localNames.Name(wi), 0)
 				workers[wi] = t.Go(func(w *sched.Thread) {
 					for round := 0; round < 2; round++ {
 						idx := pop(w)

@@ -1,8 +1,7 @@
 package sctbench
 
 import (
-	"fmt"
-
+	"surw/internal/objname"
 	"surw/internal/runner"
 	"surw/internal/sched"
 )
@@ -102,6 +101,10 @@ func Sync02() runner.Target {
 	}
 }
 
+// cellNames are LastZero's array cells, formatted once per process on
+// first use.
+var cellNames = objname.New("a", 16)
+
 // LastZero models CS/lastzero: workers race filling an array in order
 // while a checker expects the filled cells to form a prefix; any worker
 // finishing before its predecessor tears the prefix.
@@ -111,7 +114,7 @@ func LastZero(workers int) runner.Target {
 		Prog: func(t *sched.Thread) {
 			cells := make([]*sched.Var, workers)
 			for i := range cells {
-				cells[i] = t.NewVar(fmt.Sprintf("a%d", i), 0)
+				cells[i] = t.NewVar(cellNames.Name(i), 0)
 			}
 			hs := make([]*sched.Handle, workers)
 			for i := range hs {
